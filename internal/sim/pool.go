@@ -4,35 +4,46 @@ import "math/bits"
 
 // Pool models a bank of identical functional units (intersection units,
 // dividers, DRAM channels, NoC links, pipeline stages). Acquire reserves
-// the earliest-available unit for a duration and returns the start time;
-// the pool accumulates busy cycles for utilization reporting.
+// a unit for a duration and returns the start time; the pool
+// accumulates busy cycles for utilization reporting.
 //
 // Pools are "busy-until" abstractions: reservations are made greedily in
 // call order, which matches an in-order arbiter granting requests as they
-// arrive.
+// arrive. Each request goes to the unit with the smallest (until, unit)
+// pair — the earliest stored horizon wins, and the unit index only breaks
+// equal horizons — and starts at that horizon clamped to now. This is not
+// "the lowest-index unit free at now": for a request at 30, a unit free
+// since 29 wins over unit 0 free since 30 (TestPoolGrantsEarliestFreeUnit).
 //
-// The earliest-free unit is tracked incrementally with a min-heap of
-// packed (until << shift | unit) keys, so Acquire on a 24-unit IU bank
-// costs O(log n) single-word comparisons instead of rescanning until[]
-// — Acquire was the simulator's single hottest function before (20% of
-// BenchmarkSimulate). The packed key orders by (until, unit): ties
-// break on the lower unit index, exactly matching the old linear scan,
-// so reservation order (and therefore every golden timing result) is
-// unchanged. Reservations only ever push a unit's horizon forward, so
-// re-heapifying is always a sift-down from the updated node.
+// Units that share a horizon are kept together as one group: a bitmask
+// over a block of 64 units, keyed by until<<bshift | block. The groups
+// are sorted by key, so the winner is always the lowest bit of the first
+// group, and bit order inside a group is unit order. Under the simulator's
+// traffic — one fixed duration per pool and start times that rarely go
+// backwards — a re-keyed unit lands on or after the last group, so
+// Acquire is O(1), and AcquireBatch moves whole tie groups at once
+// instead of walking a heap once per reservation.
 type Pool struct {
 	name string
-	// until[id] mirrors the horizon packed into the keys (InFlightAt,
-	// ReleaseAt) — keys are authoritative for ordering.
-	until []Time
-	keys  []int64 // min-heap of until<<shift | unit
-	pos   []int32 // pos[id] = index of id's key in keys
-	shift uint    // bits.Len(n-1): unit bits in a packed key
-	mask  int64   // 1<<shift - 1
+	n    int
+	// groups[lo:hi] are the non-empty groups in ascending key order;
+	// every unit's bit is set in exactly one of them. The slice holds 2n
+	// slots, so the tail can grow by at least n before it is compacted.
+	groups []poolGroup
+	lo, hi int
+	bshift uint  // block bits in a group key: bits.Len(blocks-1)
+	bmask  int64 // 1<<bshift - 1
 
 	busy     Time
 	acquires int64
 	perturb  Perturber
+}
+
+// poolGroup is the set of units of one 64-unit block that are free from
+// the same horizon on.
+type poolGroup struct {
+	key  int64  // until<<bshift | block
+	mask uint64 // bit b set: unit block*64+b
 }
 
 // NewPool creates a pool of n units.
@@ -40,51 +51,101 @@ func NewPool(name string, n int) *Pool {
 	if n < 1 {
 		panic("sim: pool needs at least one unit")
 	}
-	p := &Pool{name: name, until: make([]Time, n)}
-	p.shift = uint(bits.Len(uint(n - 1)))
-	p.mask = 1<<p.shift - 1
-	p.keys = make([]int64, n)
-	p.pos = make([]int32, n)
-	for i := range p.keys {
-		// Identity order is a valid heap: all untils are 0 and ties
-		// order by unit index.
-		p.keys[i] = int64(i)
-		p.pos[i] = int32(i)
+	blocks := (n + 63) / 64
+	p := &Pool{name: name, n: n, groups: make([]poolGroup, 2*n), hi: blocks}
+	p.bshift = uint(bits.Len(uint(blocks - 1)))
+	p.bmask = 1<<p.bshift - 1
+	for b := range blocks {
+		m := ^uint64(0)
+		if r := n - 64*b; r < 64 {
+			m = 1<<r - 1
+		}
+		p.groups[b] = poolGroup{key: int64(b), mask: m}
 	}
 	return p
 }
 
-// siftDown restores the heap below position i after keys[i] increased
-// (reservations never decrease a unit's horizon).
-func (p *Pool) siftDown(i int32) {
-	h := p.keys
-	n := int32(len(h))
-	k := h[i]
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		c := l
-		if r := l + 1; r < n && h[r] < h[l] {
-			c = r
-		}
-		if h[c] >= k {
-			break
-		}
-		h[i] = h[c]
-		p.pos[h[c]&p.mask] = i
-		i = c
+// reserve moves the units in set, a subset of the first group, to the
+// horizon until.
+func (p *Pool) reserve(set uint64, until Time) {
+	g := &p.groups[p.lo]
+	block := g.key & p.bmask
+	if g.mask &^= set; g.mask == 0 {
+		p.lo++
 	}
-	h[i] = k
-	p.pos[k&p.mask] = i
+	p.insert(int64(until)<<p.bshift|block, set)
+}
+
+// insert adds the units in set under key, joining an existing group with
+// that key or opening a new one at its sorted position.
+func (p *Pool) insert(key int64, set uint64) {
+	hi := p.hi
+	if hi == p.lo {
+		p.lo, hi = 0, 0
+	} else if t := &p.groups[hi-1]; t.key >= key {
+		if t.key == key {
+			t.mask |= set
+			return
+		}
+		p.insertBefore(key, set)
+		return
+	}
+	if hi == len(p.groups) {
+		hi = p.compact()
+	}
+	p.groups[hi] = poolGroup{key, set}
+	p.hi = hi + 1
+}
+
+// insertBefore is insert's slow path, for a key below the last group's:
+// a start that went backwards, a changed duration, or a dynamic release
+// that ends before another unit's horizon.
+func (p *Pool) insertBefore(key int64, set uint64) {
+	i := p.hi - 1
+	for i > p.lo && p.groups[i-1].key >= key {
+		i--
+	}
+	if p.groups[i].key == key {
+		p.groups[i].mask |= set
+		return
+	}
+	if i == p.lo && p.lo > 0 {
+		p.lo--
+		p.groups[p.lo] = poolGroup{key, set}
+		return
+	}
+	if p.hi == len(p.groups) {
+		i -= p.lo
+		p.compact()
+	}
+	copy(p.groups[i+1:p.hi+1], p.groups[i:p.hi])
+	p.groups[i] = poolGroup{key, set}
+	p.hi++
+}
+
+// compact moves the live groups to the front of the slice and returns
+// the new hi. Live groups never exceed n, so it frees at least n slots.
+func (p *Pool) compact() int {
+	p.hi = copy(p.groups, p.groups[p.lo:p.hi])
+	p.lo = 0
+	return p.hi
+}
+
+// groupOf returns the index of the group holding unit.
+func (p *Pool) groupOf(unit int) int {
+	block, bit := int64(unit>>6), uint64(1)<<(unit&63)
+	i := p.hi - 1
+	for p.groups[i].mask&bit == 0 || p.groups[i].key&p.bmask != block {
+		i--
+	}
+	return i
 }
 
 // Name returns the pool's name.
 func (p *Pool) Name() string { return p.name }
 
 // Size returns the number of units.
-func (p *Pool) Size() int { return len(p.until) }
+func (p *Pool) Size() int { return p.n }
 
 // SetPerturb installs a service-time perturber (nil removes it). Used by
 // the chaos harness to inject deterministic latency jitter.
@@ -98,19 +159,17 @@ func (p *Pool) Acquire(now Time, dur Time) Time {
 			dur = d
 		}
 	}
-	k := p.keys[0]
-	best := k & p.mask
-	start := Time(k >> p.shift)
-	if start < now {
-		start = now
-	}
-	p.until[best] = start + dur
-	p.keys[0] = int64(start+dur)<<p.shift | best
-	if len(p.keys) > 1 {
-		p.siftDown(0)
-	}
 	p.busy += dur
 	p.acquires++
+	g := &p.groups[p.lo]
+	until := Time(g.key >> p.bshift)
+	start := max(until, now)
+	if p.n == 1 {
+		// A single unit is always the one group, at index 0.
+		g.key = int64(start + dur)
+	} else if start+dur != until {
+		p.reserve(g.mask&-g.mask, start+dur)
+	}
 	return start
 }
 
@@ -120,6 +179,10 @@ func (p *Pool) Acquire(now Time, dur Time) Time {
 // zero). The PE's divider and IU stages reserve one slot per input line
 // / segment pair at a common issue time, so the batch form replaces the
 // simulator's hottest per-item loop.
+//
+// k successive Acquires drain the first group in unit order, and each
+// re-keyed unit lands past that group's horizon, so the batch moves the
+// first group's lowest units as one set until k reservations are made.
 func (p *Pool) AcquireBatch(now Time, dur Time, k int) Time {
 	if k <= 0 {
 		return now
@@ -136,61 +199,46 @@ func (p *Pool) AcquireBatch(now Time, dur Time, k int) Time {
 		}
 		return start + dur
 	}
-	h := p.keys
-	n := int32(len(h))
-	if n == 1 {
-		// Single unit: k back-to-back reservations.
-		start := Time(h[0] >> p.shift)
-		if start < now {
-			start = now
-		}
-		end := start + Time(k)*dur
-		p.until[0] = end
-		h[0] = int64(end) << p.shift
-		p.busy += Time(k) * dur
-		p.acquires += int64(k)
-		return end
-	}
-	nowKey := int64(now) << p.shift
-	var rootKey int64
-	for i := 0; i < k; i++ {
-		rootKey = h[0]
-		if rootKey < nowKey {
-			// Unit free before now: starts at now, keeps its index bits.
-			rootKey = nowKey | rootKey&p.mask
-		}
-		rootKey += int64(dur) << p.shift
-		// Inlined siftDown(0) without pos maintenance: positions are
-		// rebuilt once after the loop.
-		key := rootKey
-		var j int32
-		for {
-			l := 2*j + 1
-			if l >= n {
-				break
-			}
-			c := l
-			if r := l + 1; r < n && h[r] < h[l] {
-				c = r
-			}
-			if h[c] >= key {
-				break
-			}
-			h[j] = h[c]
-			j = c
-		}
-		h[j] = key
-	}
-	for i, key := range h {
-		unit := key & p.mask
-		p.until[unit] = Time(key >> p.shift)
-		p.pos[unit] = int32(i)
-	}
 	p.busy += Time(k) * dur
 	p.acquires += int64(k)
-	// The last reservation starts latest (horizons only grow), so its
-	// horizon is the batch's latest completion.
-	return Time(rootKey >> p.shift)
+	var start Time
+	for {
+		g := &p.groups[p.lo]
+		until := Time(g.key >> p.bshift)
+		start = max(until, now)
+		if start+dur == until {
+			// A zero-length reservation on a unit already free at now
+			// leaves its horizon where it is: every remaining one
+			// lands on the same unit.
+			break
+		}
+		if p.hi-p.lo == 1 && k >= p.n {
+			// One group holds every unit (n <= 64): each whole round
+			// of n reservations shifts it by dur.
+			r := k / p.n
+			start += Time(r-1) * dur
+			g.key = int64(start + dur)
+			if k -= r * p.n; k == 0 {
+				break
+			}
+			continue
+		}
+		set := g.mask
+		if c := bits.OnesCount64(set); c < k {
+			k -= c
+		} else {
+			rest := set
+			for ; k > 0; k-- {
+				rest &= rest - 1
+			}
+			set &^= rest
+		}
+		p.reserve(set, start+dur)
+		if k == 0 {
+			break
+		}
+	}
+	return start + dur
 }
 
 // AcquireDynamic reserves the earliest-available unit starting no earlier
@@ -198,48 +246,52 @@ func (p *Pool) AcquireBatch(now Time, dur Time, k int) Time {
 // finish the reservation with ReleaseAt. Used for MSHR-style resources
 // whose hold time depends on a downstream access.
 func (p *Pool) AcquireDynamic(now Time) (unit int, start Time) {
-	k := p.keys[0]
-	best := k & p.mask
-	start = Time(k >> p.shift)
-	if start < now {
-		start = now
-	}
-	p.until[best] = start
-	p.keys[0] = int64(start)<<p.shift | best
-	if len(p.keys) > 1 {
-		p.siftDown(0)
+	g := &p.groups[p.lo]
+	low := g.mask & -g.mask
+	unit = int(g.key&p.bmask)<<6 | bits.TrailingZeros64(low)
+	until := Time(g.key >> p.bshift)
+	start = max(until, now)
+	if start != until {
+		p.reserve(low, start)
 	}
 	p.acquires++
-	return int(best), start
+	return unit, start
 }
 
 // ReleaseAt completes a dynamic reservation: the unit stays busy until t.
 func (p *Pool) ReleaseAt(unit int, t Time) {
-	if t > p.until[unit] {
-		p.busy += t - p.until[unit]
-		p.until[unit] = t
-		p.keys[p.pos[unit]] = int64(t)<<p.shift | int64(unit)
-		if len(p.keys) > 1 {
-			p.siftDown(p.pos[unit])
+	i := p.groupOf(unit)
+	g := &p.groups[i]
+	until := Time(g.key >> p.bshift)
+	if t <= until {
+		return
+	}
+	p.busy += t - until
+	bit := uint64(1) << (unit & 63)
+	if g.mask &^= bit; g.mask == 0 {
+		if i == p.lo {
+			p.lo++
+		} else {
+			copy(p.groups[i:p.hi-1], p.groups[i+1:p.hi])
+			p.hi--
 		}
 	}
+	p.insert(int64(t)<<p.bshift|int64(unit>>6), bit)
 }
 
 // InFlightAt reports how many units are still reserved past `now` — the
 // instantaneous queue depth a telemetry gauge sees at an epoch boundary.
 func (p *Pool) InFlightAt(now Time) int {
 	n := 0
-	for _, u := range p.until {
-		if u > now {
-			n++
-		}
+	for i := p.hi - 1; i >= p.lo && Time(p.groups[i].key>>p.bshift) > now; i-- {
+		n += bits.OnesCount64(p.groups[i].mask)
 	}
 	return n
 }
 
 // NextFree reports the earliest time any unit becomes available.
 func (p *Pool) NextFree() Time {
-	return Time(p.keys[0] >> p.shift)
+	return Time(p.groups[p.lo].key >> p.bshift)
 }
 
 // Busy returns the accumulated busy cycles across all units.
@@ -253,7 +305,7 @@ func (p *Pool) Utilization(elapsed Time) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return float64(p.busy) / (float64(elapsed) * float64(len(p.until)))
+	return float64(p.busy) / (float64(elapsed) * float64(p.n))
 }
 
 // Semaphore is a counting resource with an explicit waiter queue, used for
