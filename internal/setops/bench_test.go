@@ -1,6 +1,7 @@
 package setops
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -166,5 +167,83 @@ func BenchmarkDispatcherBalancedFallback(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = d.Intersect(dst[:0], a, c)
+	}
+}
+
+// simTrafficBuckets is the size-ratio mix of the simulator's functional
+// intersections, measured on one pass of the sim-batch workload (~677k
+// calls; smaller operand 40 elements on average, larger 231, output
+// 7.7): the share of calls whose larger/smaller ratio falls in
+// [lo, hi). smallMean is the smaller side's mean size per bucket,
+// chosen so the overall means match. The list kernels merge every
+// bucket but the last, which they gallop.
+var simTrafficBuckets = []struct {
+	share     float64
+	lo, hi    float64
+	smallMean float64
+}{
+	{0.19, 1, 2, 64},
+	{0.40, 2, 8, 54},
+	{0.26, 8, 32, 22},
+	{0.15, 32, 64, 5},
+}
+
+// simTrafficPairs draws n operand pairs (smaller, larger) with the
+// simTrafficBuckets mix over an R-MAT-skewed universe, plus a bitset of
+// each larger side (the hub-index view of a hub's neighbor list). The
+// universe size sets the overlap: 20k draws average 40/233 elements in
+// and 8.0 out, in ratio buckets of 19/40/26/15%.
+func simTrafficPairs(n int, seed int64) (small, large [][]VertexID, bits [][]uint64) {
+	const universe = 3000
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		u, k := rng.Float64(), 0
+		for ; k < len(simTrafficBuckets)-1 && u >= simTrafficBuckets[k].share; k++ {
+			u -= simTrafficBuckets[k].share
+		}
+		bk := simTrafficBuckets[k]
+		s := 1 + int(rng.ExpFloat64()*(bk.smallMean-1))
+		ratio := bk.lo * math.Pow(bk.hi/bk.lo, rng.Float64()) // log-uniform
+		l := int(float64(s) * ratio)
+		if l > universe/2 {
+			l = universe / 2
+		}
+		a, b := rmatLikeSet(rng, s, universe), rmatLikeSet(rng, l, universe)
+		bs := make([]uint64, BitsetWords(universe))
+		BitsetFill(bs, b)
+		small, large, bits = append(small, a), append(large, b), append(bits, bs)
+	}
+	return small, large, bits
+}
+
+// BenchmarkDispatchSimTraffic replays simulator-shaped intersections
+// through the Dispatcher, with the larger side as a plain list (the
+// merge/gallop kernels) and with a bitset view of it (the bitmap
+// kernel a hub operand gets). ns/op is per set operation.
+func BenchmarkDispatchSimTraffic(b *testing.B) {
+	small, large, bits := simTrafficPairs(1024, 31)
+	for _, withBits := range []bool{false, true} {
+		name := "lists"
+		if withBits {
+			name = "bitset"
+		}
+		b.Run(name, func(b *testing.B) {
+			ops := make([][2]Operand, len(small))
+			for i := range ops {
+				ops[i][0] = Operand{List: small[i]}
+				ops[i][1] = Operand{List: large[i]}
+				if withBits {
+					ops[i][1].Bits = bits[i]
+				}
+			}
+			var d Dispatcher
+			dst := make([]VertexID, 0, 1<<12)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op := &ops[i%len(ops)]
+				dst = d.Intersect(dst[:0], op[0], op[1])
+			}
+		})
 	}
 }

@@ -13,7 +13,6 @@ package task
 
 import (
 	"fmt"
-	"sort"
 
 	"shogun/internal/graph"
 	"shogun/internal/mem"
@@ -146,6 +145,13 @@ type Workload struct {
 	S   *pattern.Schedule
 	Map mem.AddressMap
 
+	// hub is the graph's shared hub index (nil when the graph has no
+	// hubs): neighbor-set operands of hub vertices carry its bitsets so
+	// disp can pick a bitmap kernel. Kernel choice never reaches the
+	// Profile, which is computed from set lengths and addresses only.
+	hub  *graph.HubIndex
+	disp setops.Dispatcher
+
 	scratchA []graph.VertexID
 	scratchB []graph.VertexID
 	pathBuf  []graph.VertexID
@@ -170,6 +176,7 @@ func NewWorkload(g *graph.Graph, s *pattern.Schedule) *Workload {
 		G:        g,
 		S:        s,
 		Map:      mem.NewAddressMap(int64(g.NumEdges()*2), maxSet),
+		hub:      g.HubIndex(),
 		scratchA: make([]graph.VertexID, 0, maxSet),
 		scratchB: make([]graph.VertexID, 0, maxSet),
 		pathBuf:  make([]graph.VertexID, s.Depth()),
@@ -235,13 +242,13 @@ func (w *Workload) candBuf() []graph.VertexID {
 }
 
 // resolve returns the actual set named by ref for the node's path, plus
-// its Read descriptor. For RefStored the owning ancestor's slot provides
-// the address.
-func (w *Workload) resolve(n *Node, ref pattern.SetRef, path []graph.VertexID) ([]graph.VertexID, Read) {
+// its Read descriptor. A neighbor set of a hub vertex carries the hub's
+// bitset. For RefStored the owning ancestor's slot provides the address.
+func (w *Workload) resolve(n *Node, ref pattern.SetRef, path []graph.VertexID) (setops.Operand, Read) {
 	if ref.Kind == pattern.RefNeighbor {
 		u := path[ref.Pos]
 		set := w.G.Neighbors(u)
-		return set, Read{
+		return setops.Operand{List: set, Bits: w.hub.Bits(u)}, Read{
 			Class: ReadCSR,
 			Addr:  w.Map.CSRAddr(w.G.NeighborOffset(u)),
 			Bytes: int64(len(set)) * 4,
@@ -251,7 +258,7 @@ func (w *Workload) resolve(n *Node, ref pattern.SetRef, path []graph.VertexID) (
 	if !owner.Executed || owner.Cand == nil {
 		panic("task: stored set referenced before materialization")
 	}
-	return owner.Cand, Read{
+	return setops.Operand{List: owner.Cand}, Read{
 		Class: ReadIntermediate,
 		Addr:  w.Map.SetAddr(owner.Slot),
 		Bytes: int64(len(owner.Cand)) * 4,
@@ -311,25 +318,27 @@ func (w *Workload) ExecuteReuse(n *Node, slot int, reads []Read) Profile {
 	base, baseRead := w.resolve(n, plan.Base, path)
 	prof.Reads = append(prof.Reads, baseRead)
 	if baseRead.Class == ReadIntermediate {
-		prof.IntermediateLines += setops.Lines(len(base))
+		prof.IntermediateLines += setops.Lines(len(base.List))
 	}
-	prof.InputLines += setops.Lines(len(base))
+	prof.InputLines += setops.Lines(len(base.List))
 
+	// cur keeps the base's hub bitset only while it is still the
+	// unmodified CSR base (step 0); intermediate results are plain lists.
 	cur := base
 	if len(plan.Steps) == 0 {
 		// CSR-base copy plan: materialize the neighbor set as an
 		// intermediate result (the "depth-1 tasks fetch the neighbor
 		// set as the intermediate results" behaviour of §5.2.1).
-		n.Cand = append(w.candBuf(), base...)
+		n.Cand = append(w.candBuf(), base.List...)
 	} else {
 		for i, op := range plan.Steps {
 			operand, opRead := w.resolve(n, op.Ref, path)
 			prof.Reads = append(prof.Reads, opRead)
 			if opRead.Class == ReadIntermediate {
-				prof.IntermediateLines += setops.Lines(len(operand))
+				prof.IntermediateLines += setops.Lines(len(operand.List))
 			}
-			prof.InputLines += setops.Lines(len(operand))
-			prof.SegPairs += setops.SegmentPairs(len(cur), len(operand))
+			prof.InputLines += setops.Lines(len(operand.List))
+			prof.SegPairs += setops.SegmentPairs(len(cur.List), len(operand.List))
 
 			var dst []graph.VertexID
 			last := i == len(plan.Steps)-1
@@ -342,9 +351,9 @@ func (w *Workload) ExecuteReuse(n *Node, slot int, reads []Read) Profile {
 				dst = w.scratchB[:0]
 			}
 			if op.Sub {
-				dst = setops.Subtract(dst, cur, operand)
+				dst = w.disp.Subtract(dst, cur, operand)
 			} else {
-				dst = setops.Intersect(dst, cur, operand)
+				dst = w.disp.Intersect(dst, cur, operand)
 			}
 			switch {
 			case last:
@@ -354,7 +363,7 @@ func (w *Workload) ExecuteReuse(n *Node, slot int, reads []Read) Profile {
 			default:
 				w.scratchB = dst
 			}
-			cur = dst
+			cur = setops.Operand{List: dst}
 		}
 	}
 
@@ -374,11 +383,7 @@ func (w *Workload) ExecuteReuse(n *Node, slot int, reads []Read) Profile {
 func (w *Workload) truncate(n *Node, plan *pattern.Plan, path []graph.VertexID) {
 	n.SpawnLimit = len(n.Cand)
 	for _, a := range plan.BoundBy {
-		limit := path[a]
-		k := sort.Search(n.SpawnLimit, func(i int) bool { return n.Cand[i] >= limit })
-		if k < n.SpawnLimit {
-			n.SpawnLimit = k
-		}
+		n.SpawnLimit = len(setops.Bound(n.Cand[:n.SpawnLimit], path[a]))
 	}
 }
 
