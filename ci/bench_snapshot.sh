@@ -32,7 +32,7 @@ trap 'rm -f "$tmp"' EXIT
 
 echo "bench_snapshot: accel benchmarks (-count $count -benchtime $btime)" >&2
 (cd "$root" && go test ./internal/accel/ -run '^$' \
-    -bench 'BenchmarkSimulate$|BenchmarkSimulateHeap$|BenchmarkSimulateSampler' \
+    -bench 'BenchmarkSimulate$|BenchmarkSimulateSampler' \
     -benchmem -count "$count" -benchtime "$btime") | tee -a "$tmp" >&2
 
 echo "bench_snapshot: sim benchmarks (-count $count -benchtime $simtime)" >&2

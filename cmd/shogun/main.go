@@ -32,46 +32,13 @@ import (
 )
 
 func main() {
-	var (
-		dataset  = flag.String("dataset", "", "dataset analogue: wi|as|yo|pa|lj|or")
-		graphArg = flag.String("graph", "", "edge-list file (alternative to -dataset)")
-		patName  = flag.String("pattern", "tc", "pattern: tc|tt[_e|_v]|4cl|5cl|dia[_e|_v]|4cyc[_e|_v]|house")
-		scheme   = flag.String("scheme", "shogun", "scheme: shogun|fingers|pseudo-dfs|dfs|bfs|parallel-dfs")
-		pes      = flag.Int("pes", 10, "number of PEs")
-		width    = flag.Int("width", 8, "task execution width")
-		l1KB     = flag.Int("l1", 32, "L1 size in KB")
-		l2KB     = flag.Int("l2", 0, "L2 size in KB (0 = default)")
-		split    = flag.Bool("split", false, "enable task-tree splitting (shogun)")
-		merge    = flag.Bool("merge", false, "enable search-tree merging (shogun)")
-		tokens   = flag.Int("tokens", 0, "address tokens per depth (default: width)")
-		bunches  = flag.Int("bunches", 4, "task tree bunches per depth (shogun)")
-		verify   = flag.Bool("verify", true, "cross-check count against the software miner")
-		cfgPath  = flag.String("config", "", "load accelerator config from JSON (flags below override)")
-		dumpCfg  = flag.Bool("dumpconfig", false, "print the effective config as JSON and exit")
-		traceOut = flag.String("trace", "", "write per-task JSONL trace to file")
-		chromeT  = flag.String("trace-out", "", "write Chrome trace JSON (load in chrome://tracing or Perfetto)")
-		metricsF = flag.Bool("metrics", false, "print the hardware-counter report and verify conservation invariants")
-		verbose  = flag.Bool("v", false, "print extended statistics")
-		queue    = flag.String("queue", "", "event queue discipline: calendar (default) | heap (debug/differential fallback)")
-		deadline = flag.Int64("deadline", 0, "abort after this many simulated cycles (0 = none)")
-		maxEv    = flag.Int64("maxevents", 0, "abort after this many simulation events (0 = none)")
-		maxWall  = flag.Duration("maxwall", 0, "abort after this much wall-clock time (0 = none)")
-		chips    = flag.Int("chips", 1, "number of accelerator chips (>1 simulates a multi-chip cluster)")
-		partMode = flag.String("partition", "", "cluster root partitioning: replicate (default) | hash | range")
-		partSeed = flag.Int64("partition-seed", 0, "seed for the hash partitioner")
-		steal    = flag.Bool("steal", true, "enable chip-level work stealing over the interconnect (shogun scheme)")
-		sampleEv = flag.Int64("sample-every", 0, "sample telemetry gauges every N cycles (0 = off)")
-		tsOut    = flag.String("timeseries-out", "", "write the sampled telemetry series to file (.json = JSON, else CSV; needs -sample-every)")
-		httpAddr = flag.String("http", "", "serve live inspection endpoints (JSON snapshot, expvar, pprof) on host:port (\":0\" picks a port)")
-	)
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 	// SIGINT/SIGTERM cancel the simulation at the next watchdog poll;
 	// the run loop flushes a diagnostic snapshot and exits non-zero.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	tf := telemetryFlags{sampleEvery: *sampleEv, timeseriesOut: *tsOut, httpAddr: *httpAddr}
-	cf := clusterFlags{chips: *chips, partition: *partMode, seed: *partSeed, steal: *steal}
-	if err := run(ctx, *dataset, *graphArg, *patName, *scheme, *queue, *pes, *width, *l1KB, *l2KB, *tokens, *bunches, *split, *merge, *verify, *verbose, *metricsF, *traceOut, *chromeT, *cfgPath, *dumpCfg, *deadline, *maxEv, *maxWall, tf, cf); err != nil {
+	if err := run(ctx, o); err != nil {
 		fmt.Fprintln(os.Stderr, "shogun:", err)
 		var inv *sim.InvariantError
 		var dead *sim.DeadlockError
@@ -85,8 +52,58 @@ func main() {
 	}
 }
 
-// telemetryFlags carries the time-resolved telemetry options (-sample-every,
-// -timeseries-out, -http) through to run.
+// options is everything run takes: main fills it from the command line
+// through defineFlags, and the tests build it the same way.
+type options struct {
+	dataset, graph, pattern, scheme         string
+	pes, width, l1KB, l2KB, tokens, bunches int
+	split, merge, verify, verbose, metrics  bool
+	traceOut, chromeOut, cfgPath            string
+	dumpCfg                                 bool
+	deadline, maxEvents                     int64
+	maxWall                                 time.Duration
+	tf                                      telemetryFlags
+	cf                                      clusterFlags
+}
+
+// defineFlags registers every command-line flag on fs and returns the
+// options they fill (holding the flag defaults until fs is parsed).
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.dataset, "dataset", "", "dataset analogue: wi|as|yo|pa|lj|or")
+	fs.StringVar(&o.graph, "graph", "", "edge-list file (alternative to -dataset)")
+	fs.StringVar(&o.pattern, "pattern", "tc", "pattern: tc|tt[_e|_v]|4cl|5cl|dia[_e|_v]|4cyc[_e|_v]|house")
+	fs.StringVar(&o.scheme, "scheme", "shogun", "scheme: shogun|fingers|pseudo-dfs|dfs|bfs|parallel-dfs")
+	fs.IntVar(&o.pes, "pes", 10, "number of PEs")
+	fs.IntVar(&o.width, "width", 8, "task execution width")
+	fs.IntVar(&o.l1KB, "l1", 32, "L1 size in KB")
+	fs.IntVar(&o.l2KB, "l2", 0, "L2 size in KB (0 = default)")
+	fs.BoolVar(&o.split, "split", false, "enable task-tree splitting (shogun)")
+	fs.BoolVar(&o.merge, "merge", false, "enable search-tree merging (shogun)")
+	fs.IntVar(&o.tokens, "tokens", 0, "address tokens per depth (default: width)")
+	fs.IntVar(&o.bunches, "bunches", 4, "task tree bunches per depth (shogun)")
+	fs.BoolVar(&o.verify, "verify", true, "cross-check count against the software miner")
+	fs.StringVar(&o.cfgPath, "config", "", "load accelerator config from JSON (flags below override)")
+	fs.BoolVar(&o.dumpCfg, "dumpconfig", false, "print the effective config as JSON and exit")
+	fs.StringVar(&o.traceOut, "trace", "", "write per-task JSONL trace to file")
+	fs.StringVar(&o.chromeOut, "trace-out", "", "write Chrome trace JSON (load in chrome://tracing or Perfetto)")
+	fs.BoolVar(&o.metrics, "metrics", false, "print the hardware-counter report and verify conservation invariants")
+	fs.BoolVar(&o.verbose, "v", false, "print extended statistics")
+	fs.Int64Var(&o.deadline, "deadline", 0, "abort after this many simulated cycles (0 = none)")
+	fs.Int64Var(&o.maxEvents, "maxevents", 0, "abort after this many simulation events (0 = none)")
+	fs.DurationVar(&o.maxWall, "maxwall", 0, "abort after this much wall-clock time (0 = none)")
+	fs.IntVar(&o.cf.chips, "chips", 1, "number of accelerator chips (>1 simulates a multi-chip cluster)")
+	fs.StringVar(&o.cf.partition, "partition", "", "cluster root partitioning: replicate (default) | hash | range")
+	fs.Int64Var(&o.cf.seed, "partition-seed", 0, "seed for the hash partitioner")
+	fs.BoolVar(&o.cf.steal, "steal", true, "enable chip-level work stealing over the interconnect (shogun scheme)")
+	fs.Int64Var(&o.tf.sampleEvery, "sample-every", 0, "sample telemetry gauges every N cycles (0 = off)")
+	fs.StringVar(&o.tf.timeseriesOut, "timeseries-out", "", "write the sampled telemetry series to file (.json = JSON, else CSV; needs -sample-every)")
+	fs.StringVar(&o.tf.httpAddr, "http", "", "serve live inspection endpoints (JSON snapshot, expvar, pprof) on host:port (\":0\" picks a port)")
+	return o
+}
+
+// telemetryFlags groups the time-resolved telemetry options
+// (-sample-every, -timeseries-out, -http).
 type telemetryFlags struct {
 	sampleEvery   int64
 	timeseriesOut string
@@ -110,8 +127,8 @@ func (tf telemetryFlags) validate() error {
 	return nil
 }
 
-// clusterFlags carries the multi-chip options (-chips, -partition,
-// -partition-seed, -steal) through to run.
+// clusterFlags groups the multi-chip options (-chips, -partition,
+// -partition-seed, -steal).
 type clusterFlags struct {
 	chips     int
 	partition string
@@ -119,24 +136,24 @@ type clusterFlags struct {
 	steal     bool
 }
 
-func run(ctx context.Context, dataset, graphArg, patName, scheme, queue string, pes, width, l1KB, l2KB, tokens, bunches int, split, merge, verify, verbose, metricsF bool, traceOut, chromeOut, cfgPath string, dumpCfg bool, deadline, maxEvents int64, maxWall time.Duration, tf telemetryFlags, cf clusterFlags) error {
-	if err := tf.validate(); err != nil {
+func run(ctx context.Context, o *options) error {
+	if err := o.tf.validate(); err != nil {
 		return err
 	}
-	if cf.chips < 1 {
-		return fmt.Errorf("-chips must be >= 1 (got %d)", cf.chips)
+	if o.cf.chips < 1 {
+		return fmt.Errorf("-chips must be >= 1 (got %d)", o.cf.chips)
 	}
-	if _, err := cluster.ParseMode(cf.partition); err != nil {
+	if _, err := cluster.ParseMode(o.cf.partition); err != nil {
 		return err
 	}
 	var g *graph.Graph
 	var err error
 	switch {
-	case dataset != "":
-		g, err = datasets.Get(dataset)
-	case graphArg != "":
+	case o.dataset != "":
+		g, err = datasets.Get(o.dataset)
+	case o.graph != "":
 		var f *os.File
-		if f, err = os.Open(graphArg); err == nil {
+		if f, err = os.Open(o.graph); err == nil {
 			defer f.Close()
 			g, err = graph.ReadEdgeList(f)
 		}
@@ -147,53 +164,47 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme, queue string, 
 		return err
 	}
 
-	p, err := pattern.ByName(patName)
+	p, err := pattern.ByName(o.pattern)
 	if err != nil {
 		return err
 	}
-	s, err := pattern.BuildWith(p, pattern.BuildOptions{Induced: strings.HasSuffix(patName, "_v")})
+	s, err := pattern.BuildWith(p, pattern.BuildOptions{Induced: strings.HasSuffix(o.pattern, "_v")})
 	if err != nil {
 		return err
 	}
 
-	cfg := accel.DefaultConfig(accel.Scheme(scheme))
-	if cfgPath != "" {
+	cfg := accel.DefaultConfig(accel.Scheme(o.scheme))
+	if o.cfgPath != "" {
 		var err error
-		if cfg, err = accel.LoadConfig(cfgPath); err != nil {
+		if cfg, err = accel.LoadConfig(o.cfgPath); err != nil {
 			return err
 		}
 	}
-	cfg.NumPEs = pes
-	cfg.PE.Width = width
-	cfg.TokensPerDepth = width
-	if tokens > 0 {
-		cfg.TokensPerDepth = tokens
+	cfg.NumPEs = o.pes
+	cfg.PE.Width = o.width
+	cfg.TokensPerDepth = o.width
+	if o.tokens > 0 {
+		cfg.TokensPerDepth = o.tokens
 	}
-	cfg.Tree.EntriesPerBunch = width
-	cfg.Tree.BunchesPerDepth = bunches
-	cfg.PE.L1.SizeKB = l1KB
-	if l2KB > 0 {
-		cfg.L2.SizeKB = l2KB
+	cfg.Tree.EntriesPerBunch = o.width
+	cfg.Tree.BunchesPerDepth = o.bunches
+	cfg.PE.L1.SizeKB = o.l1KB
+	if o.l2KB > 0 {
+		cfg.L2.SizeKB = o.l2KB
 	}
-	cfg.EnableSplitting = split
-	cfg.EnableMerging = merge
-	if queue != "" {
-		if _, err := sim.ParseQueueKind(queue); err != nil {
-			return err
-		}
-		cfg.EventQueue = queue
+	cfg.EnableSplitting = o.split
+	cfg.EnableMerging = o.merge
+	if o.deadline > 0 {
+		cfg.Deadline = sim.Time(o.deadline)
 	}
-	if deadline > 0 {
-		cfg.Deadline = sim.Time(deadline)
+	if o.maxEvents > 0 {
+		cfg.MaxEvents = o.maxEvents
 	}
-	if maxEvents > 0 {
-		cfg.MaxEvents = maxEvents
+	if o.maxWall > 0 {
+		cfg.MaxWall = o.maxWall
 	}
-	if maxWall > 0 {
-		cfg.MaxWall = maxWall
-	}
-	if tf.sampleEvery > 0 {
-		cfg.SampleEvery = sim.Time(tf.sampleEvery)
+	if o.tf.sampleEvery > 0 {
+		cfg.SampleEvery = sim.Time(o.tf.sampleEvery)
 	}
 
 	summary := trace.NewSummary()
@@ -201,8 +212,8 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme, queue string, 
 	var jsonl *trace.JSONL
 	var chrome *trace.Chrome
 	tracers := trace.Multi{}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
+	if o.traceOut != "" {
+		f, err := os.Create(o.traceOut)
 		if err != nil {
 			return err
 		}
@@ -210,16 +221,16 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme, queue string, 
 		jsonl = trace.NewJSONL(f)
 		tracers = append(tracers, jsonl)
 	}
-	if chromeOut != "" {
+	if o.chromeOut != "" {
 		chrome = trace.NewChrome()
 		tracers = append(tracers, chrome)
 	}
-	if len(tracers) > 0 || verbose {
+	if len(tracers) > 0 || o.verbose {
 		tracers = append(tracers, summary, timeline)
 		cfg.Tracer = tracers
 	}
 
-	if dumpCfg {
+	if o.dumpCfg {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(cfg)
@@ -230,16 +241,16 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme, queue string, 
 		st.Vertices, st.Edges, st.MaxDegree, st.AvgDegree, st.Skewness)
 	fmt.Printf("schedule %s:\n%s", s.Name, s.String())
 
-	if cf.chips > 1 {
-		return runCluster(ctx, g, s, cfg, cf, pes, width, verify, metricsF, tf)
+	if o.cf.chips > 1 {
+		return runCluster(ctx, g, s, cfg, o)
 	}
 
 	a, err := accel.New(g, s, cfg)
 	if err != nil {
 		return err
 	}
-	if tf.httpAddr != "" {
-		srv, err := telemetry.NewServer(tf.httpAddr)
+	if o.tf.httpAddr != "" {
+		srv, err := telemetry.NewServer(o.tf.httpAddr)
 		if err != nil {
 			return err
 		}
@@ -254,7 +265,7 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme, queue string, 
 			return snap
 		})
 		telemetry.PublishVar("run", func() any {
-			info := map[string]any{"scheme": scheme, "pattern": s.Name, "pes": pes}
+			info := map[string]any{"scheme": o.scheme, "pattern": s.Name, "pes": o.pes}
 			if tel != nil {
 				if cyc, ok := tel.Sampler.Last("engine/events"); ok {
 					info["engine/events"] = cyc
@@ -277,7 +288,7 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme, queue string, 
 		return err
 	}
 
-	fmt.Printf("\nscheme=%s pes=%d width=%d\n", res.Scheme, pes, width)
+	fmt.Printf("\nscheme=%s pes=%d width=%d\n", res.Scheme, o.pes, o.width)
 	fmt.Printf("cycles:          %d\n", res.Cycles)
 	fmt.Printf("embeddings:      %d\n", res.Embeddings)
 	fmt.Printf("tasks:           %d internal + %d leaf\n", res.Tasks, res.LeafTasks)
@@ -287,7 +298,7 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme, queue string, 
 	fmt.Printf("L2 hit rate:     %.1f%%\n", res.L2HitRate*100)
 	fmt.Printf("DRAM:            %d reads, %d writes, %.1f%% bandwidth\n", res.DRAMReads, res.DRAMWrites, res.DRAMBandwidth*100)
 	fmt.Printf("NoC lines moved: %d\n", res.NoCLines)
-	if split || merge {
+	if o.split || o.merge {
 		fmt.Printf("splits=%d merges=%d\n", res.Splits, res.Merges)
 	}
 	fmt.Printf("cycle breakdown: compute=%.1f%% memstall=%.1f%% sched=%.1f%% idle=%.1f%%\n",
@@ -301,12 +312,12 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme, queue string, 
 		}
 		return fmt.Errorf("trace: %w", err)
 	}
-	if tf.timeseriesOut != "" {
-		if err := writeTimeSeries(tf.timeseriesOut, res.Telemetry); err != nil {
+	if o.tf.timeseriesOut != "" {
+		if err := writeTimeSeries(o.tf.timeseriesOut, res.Telemetry); err != nil {
 			return err
 		}
 		fmt.Printf("telemetry series: %s (%d epochs, every %d cycles)\n",
-			tf.timeseriesOut, len(res.Telemetry.Cycles), res.Telemetry.Interval)
+			o.tf.timeseriesOut, len(res.Telemetry.Cycles), res.Telemetry.Interval)
 	}
 	if chrome != nil {
 		// Fold the sampler's system-level gauges in as counter tracks
@@ -318,7 +329,7 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme, queue string, 
 				}
 			}
 		}
-		f, err := os.Create(chromeOut)
+		f, err := os.Create(o.chromeOut)
 		if err != nil {
 			return err
 		}
@@ -329,9 +340,9 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme, queue string, 
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("chrome trace:    %s (%d events; open chrome://tracing and load it)\n", chromeOut, chrome.Count())
+		fmt.Printf("chrome trace:    %s (%d events; open chrome://tracing and load it)\n", o.chromeOut, chrome.Count())
 	}
-	if metricsF {
+	if o.metrics {
 		reg := a.Metrics()
 		fmt.Printf("\nhardware counters:\n%s", reg.Report())
 		if err := reg.Verify(); err != nil {
@@ -339,7 +350,7 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme, queue string, 
 		}
 		fmt.Printf("metrics: all %d conservation invariants hold\n", reg.Invariants())
 	}
-	if verbose {
+	if o.verbose {
 		fmt.Printf("task latency by depth:\n%s", summary.String())
 		fmt.Printf("PE occupancy timeline:\n%s", timeline.Render(72))
 		fmt.Printf("conservative transitions: %d\n", res.ConservativeTransitions)
@@ -359,7 +370,7 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme, queue string, 
 				pe.WritebackUtil(res.Cycles)*100, pe.SpawnUtil(res.Cycles)*100)
 		}
 	}
-	if verify {
+	if o.verify {
 		want := mine.Count(g, s)
 		if want != res.Embeddings {
 			return fmt.Errorf("VERIFY FAILED: simulator found %d embeddings, software miner %d", res.Embeddings, want)
@@ -374,12 +385,12 @@ func run(ctx context.Context, dataset, graphArg, patName, scheme, queue string, 
 // space is split by -partition, and chip-level work stealing rides the
 // inter-chip interconnect. Cross-chip conservation identities verify by
 // default on every run.
-func runCluster(ctx context.Context, g *graph.Graph, s *pattern.Schedule, chip accel.Config, cf clusterFlags, pes, width int, verify, metricsF bool, tf telemetryFlags) error {
-	ccfg := cluster.DefaultConfig(chip.Scheme, cf.chips)
+func runCluster(ctx context.Context, g *graph.Graph, s *pattern.Schedule, chip accel.Config, o *options) error {
+	ccfg := cluster.DefaultConfig(chip.Scheme, o.cf.chips)
 	ccfg.Chip = chip
-	ccfg.Partition = cluster.Mode(cf.partition)
-	ccfg.PartitionSeed = cf.seed
-	ccfg.Steal = cf.steal
+	ccfg.Partition = cluster.Mode(o.cf.partition)
+	ccfg.PartitionSeed = o.cf.seed
+	ccfg.Steal = o.cf.steal
 	cl, err := cluster.New(g, s, ccfg)
 	if err != nil {
 		return err
@@ -395,7 +406,7 @@ func runCluster(ctx context.Context, g *graph.Graph, s *pattern.Schedule, chip a
 	}
 
 	fmt.Printf("\nscheme=%s chips=%d pes/chip=%d width=%d partition=%s\n",
-		res.Scheme, res.Chips, pes, width, res.Partition)
+		res.Scheme, res.Chips, o.pes, o.width, res.Partition)
 	fmt.Printf("cycles:          %d\n", res.Cycles)
 	fmt.Printf("embeddings:      %d\n", res.Embeddings)
 	fmt.Printf("tasks:           %d internal + %d leaf\n", res.Tasks, res.LeafTasks)
@@ -407,14 +418,14 @@ func runCluster(ctx context.Context, g *graph.Graph, s *pattern.Schedule, chip a
 		fmt.Printf("  chip%d: %d roots, %d tasks, %d embeddings, occ %.1f%%, migrated out=%d in=%d\n",
 			i, st.Vertices, st.Tasks, st.Embeddings, st.Occupancy*100, st.MigratedOut, st.MigratedIn)
 	}
-	if tf.timeseriesOut != "" {
-		if err := writeTimeSeries(tf.timeseriesOut, res.Telemetry); err != nil {
+	if o.tf.timeseriesOut != "" {
+		if err := writeTimeSeries(o.tf.timeseriesOut, res.Telemetry); err != nil {
 			return err
 		}
 		fmt.Printf("telemetry series: %s (%d epochs, every %d cycles)\n",
-			tf.timeseriesOut, len(res.Telemetry.Cycles), res.Telemetry.Interval)
+			o.tf.timeseriesOut, len(res.Telemetry.Cycles), res.Telemetry.Interval)
 	}
-	if metricsF {
+	if o.metrics {
 		reg := cl.Metrics()
 		fmt.Printf("\nhardware counters:\n%s", reg.Report())
 		if err := reg.Verify(); err != nil {
@@ -422,7 +433,7 @@ func runCluster(ctx context.Context, g *graph.Graph, s *pattern.Schedule, chip a
 		}
 		fmt.Printf("metrics: all %d conservation invariants hold\n", reg.Invariants())
 	}
-	if verify {
+	if o.verify {
 		want := mine.Count(g, s)
 		if want != res.Embeddings {
 			return fmt.Errorf("VERIFY FAILED: cluster found %d embeddings, software miner %d", res.Embeddings, want)

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -36,32 +37,23 @@ func writeTestGraph(t *testing.T, dir string) string {
 	return path
 }
 
-// runArgs bundles run's long positional parameter list with defaults so
-// each case only states what it changes.
-type runArgs struct {
-	dataset, graphArg, pat, scheme, queue  string
-	pes, width, l1KB, l2KB, tok, bunch     int
-	split, merge, verify, verbose, metrics bool
-	traceOut, chromeOut, cfgPath           string
-	dumpCfg                                bool
-	deadline, maxEvents                    int64
-	maxWall                                time.Duration
-	tf                                     telemetryFlags
-	cf                                     clusterFlags
-}
-
-func defaultArgs() runArgs {
-	return runArgs{
-		pat: "tc", scheme: "shogun",
-		pes: 4, width: 8, l1KB: 32, bunch: 4,
-		verify: true,
-		cf:     clusterFlags{chips: 1, steal: true},
+// defaultArgs returns the command line's own defaults (parsed from an
+// empty argument list) on a 4-PE chip, so each case only states what it
+// changes.
+func defaultArgs(t *testing.T) *options {
+	t.Helper()
+	fs := flag.NewFlagSet("shogun", flag.ContinueOnError)
+	o := defineFlags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
 	}
+	o.pes = 4
+	return o
 }
 
 // quietRun invokes run with stdout parked on /dev/null so the CLI's
 // report does not drown the test log.
-func quietRun(t *testing.T, a runArgs) error {
+func quietRun(t *testing.T, o *options) error {
 	t.Helper()
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
@@ -71,33 +63,28 @@ func quietRun(t *testing.T, a runArgs) error {
 	old := os.Stdout
 	os.Stdout = devnull
 	defer func() { os.Stdout = old }()
-	return run(context.Background(), a.dataset, a.graphArg, a.pat, a.scheme, a.queue,
-		a.pes, a.width, a.l1KB, a.l2KB, a.tok, a.bunch,
-		a.split, a.merge, a.verify, a.verbose, a.metrics,
-		a.traceOut, a.chromeOut, a.cfgPath, a.dumpCfg,
-		a.deadline, a.maxEvents, a.maxWall, a.tf, a.cf)
+	return run(context.Background(), o)
 }
 
 func TestRunFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
-		mut  func(*runArgs)
+		mut  func(*options)
 	}{
-		{"negative sample-every", func(a *runArgs) { a.tf.sampleEvery = -1 }},
-		{"timeseries without sampler", func(a *runArgs) { a.tf.timeseriesOut = "x.json" }},
-		{"bad http addr", func(a *runArgs) { a.tf.httpAddr = "no-port-here" }},
-		{"zero chips", func(a *runArgs) { a.cf.chips = 0 }},
-		{"bad partition mode", func(a *runArgs) { a.cf.chips = 2; a.cf.partition = "metis" }},
-		{"no input graph", func(a *runArgs) {}},
-		{"unknown dataset", func(a *runArgs) { a.dataset = "nope" }},
-		{"missing graph file", func(a *runArgs) { a.graphArg = "/nonexistent/g.txt" }},
-		{"unknown pattern", func(a *runArgs) { a.dataset = "wi"; a.pat = "octagon" }},
-		{"bad queue kind", func(a *runArgs) { a.dataset = "wi"; a.queue = "fifo" }},
+		{"negative sample-every", func(a *options) { a.tf.sampleEvery = -1 }},
+		{"timeseries without sampler", func(a *options) { a.tf.timeseriesOut = "x.json" }},
+		{"bad http addr", func(a *options) { a.tf.httpAddr = "no-port-here" }},
+		{"zero chips", func(a *options) { a.cf.chips = 0 }},
+		{"bad partition mode", func(a *options) { a.cf.chips = 2; a.cf.partition = "metis" }},
+		{"no input graph", func(a *options) {}},
+		{"unknown dataset", func(a *options) { a.dataset = "nope" }},
+		{"missing graph file", func(a *options) { a.graph = "/nonexistent/g.txt" }},
+		{"unknown pattern", func(a *options) { a.dataset = "wi"; a.pattern = "octagon" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := defaultArgs()
-			tc.mut(&a)
+			a := defaultArgs(t)
+			tc.mut(a)
 			if err := quietRun(t, a); err == nil {
 				t.Errorf("%s: run accepted bad flags", tc.name)
 			}
@@ -106,8 +93,8 @@ func TestRunFlagValidation(t *testing.T) {
 }
 
 func TestRunDumpConfig(t *testing.T) {
-	a := defaultArgs()
-	a.graphArg = writeTestGraph(t, t.TempDir())
+	a := defaultArgs(t)
+	a.graph = writeTestGraph(t, t.TempDir())
 	a.dumpCfg = true
 	if err := quietRun(t, a); err != nil {
 		t.Fatalf("dumpconfig: %v", err)
@@ -129,16 +116,15 @@ func TestRunSingleChip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := defaultArgs()
-	a.graphArg = writeTestGraph(t, dir)
+	a := defaultArgs(t)
+	a.graph = writeTestGraph(t, dir)
 	a.cfgPath = cfgPath
 	a.split, a.merge = true, true
-	a.tok, a.l2KB = 8, 256
-	a.queue = "calendar"
+	a.tokens, a.l2KB = 8, 256
 	a.verbose, a.metrics = true, true
 	a.traceOut = filepath.Join(dir, "trace.jsonl")
 	a.chromeOut = filepath.Join(dir, "chrome.json")
-	a.deadline, a.maxEvents, a.maxWall = 1 << 40, 1 << 40, time.Minute
+	a.deadline, a.maxEvents, a.maxWall = 1<<40, 1<<40, time.Minute
 	a.tf = telemetryFlags{sampleEvery: 256, timeseriesOut: filepath.Join(dir, "ts.json"), httpAddr: "127.0.0.1:0"}
 	if err := quietRun(t, a); err != nil {
 		t.Fatalf("single-chip run: %v", err)
@@ -164,8 +150,8 @@ func TestRunSingleChip(t *testing.T) {
 // export, and the software-miner cross-check.
 func TestRunCluster(t *testing.T) {
 	dir := t.TempDir()
-	a := defaultArgs()
-	a.graphArg = writeTestGraph(t, dir)
+	a := defaultArgs(t)
+	a.graph = writeTestGraph(t, dir)
 	a.split = true
 	a.metrics = true
 	a.cf = clusterFlags{chips: 3, partition: "hash", seed: 42, steal: true}

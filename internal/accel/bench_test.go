@@ -34,30 +34,6 @@ func BenchmarkSimulate(b *testing.B) {
 	b.ReportMetric(float64(tasks), "tasks/op")
 }
 
-// BenchmarkSimulateHeap is BenchmarkSimulate on the binary-heap escape-
-// hatch engine: the pair isolates the calendar queue's contribution
-// (same pooled events, same actor call sites, different queue).
-func BenchmarkSimulateHeap(b *testing.B) {
-	g := gen.RMAT(1<<10, 6000, 0.6, 0.15, 0.15, 5)
-	s, err := pattern.Build(pattern.FourClique())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig(SchemeShogun)
-	cfg.NumPEs = 4
-	cfg.EventQueue = "heap"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		a, err := New(g, s, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := a.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSimulateVerifyOff is BenchmarkSimulate with the post-run
 // conservation pass disabled — the pair bounds the observability
 // overhead (counters are plain int64 field adds on paths the simulator

@@ -1,8 +1,11 @@
 package accel
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -42,7 +45,9 @@ func SaveConfig(path string, cfg Config) error {
 // LoadConfig reads a configuration JSON written by SaveConfig (or by
 // hand), layered on top of the scheme's defaults: absent fields keep
 // their default values only if present in the file's scheme defaults —
-// practically, start from `shogun -dumpconfig`, edit, reload.
+// practically, start from `shogun -dumpconfig`, edit, reload. Decoding is
+// strict: a key that names no Config field (a typo, or a field an older
+// build had) is an error rather than silently keeping the default.
 func LoadConfig(path string) (Config, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -58,9 +63,16 @@ func LoadConfig(path string) (Config, error) {
 	if probe.Scheme == "" {
 		probe.Scheme = SchemeShogun
 	}
-	cfg := DefaultConfig(probe.Scheme)
-	if err := json.Unmarshal(b, &cfg); err != nil {
+	// Decode into configJSON, not Config: the decoder's unknown-field
+	// check does not reach inside a custom UnmarshalJSON.
+	cfg := configJSON(DefaultConfig(probe.Scheme))
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		return Config{}, fmt.Errorf("accel: %s: %w", path, err)
 	}
-	return cfg, nil
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return Config{}, fmt.Errorf("accel: %s: trailing data after the config object", path)
+	}
+	return Config(cfg), nil
 }

@@ -9,6 +9,7 @@ import (
 	"shogun/internal/gen"
 	"shogun/internal/graph"
 	"shogun/internal/metrics"
+	"shogun/internal/sim"
 )
 
 // TestQueueDifferential is the event-engine equivalence gate: every cell
@@ -36,12 +37,15 @@ func TestQueueDifferential(t *testing.T) {
 					for _, queue := range []string{"heap", "calendar"} {
 						cfg := DefaultConfig(v.scheme)
 						cfg.NumPEs = 4
-						cfg.EventQueue = queue
 						cfg.SampleEvery = 512 // telemetry series must match too
 						if v.mutate != nil {
 							v.mutate(&cfg)
 						}
-						a, err := New(gr.g, wl.Schedule, cfg)
+						var eng *sim.Engine // nil: New's own calendar engine
+						if queue == "heap" {
+							eng = sim.NewHeapEngine()
+						}
+						a, err := NewShared(gr.g, wl.Schedule, cfg, eng, nil)
 						if err != nil {
 							t.Fatalf("%s: new: %v", queue, err)
 						}

@@ -6,6 +6,7 @@ import (
 
 	"shogun/internal/accel"
 	"shogun/internal/metrics"
+	"shogun/internal/sim"
 )
 
 // TestQueueDifferentialUnderChaos extends the event-engine equivalence
@@ -34,9 +35,12 @@ func TestQueueDifferentialUnderChaos(t *testing.T) {
 				SplitPeriod: 2500 + 150*cadence(seed),
 			})
 			cfg := base
-			cfg.EventQueue = queue
 			cfg.Perturb = in
-			a, err := accel.New(g, s, cfg)
+			var eng *sim.Engine // nil: New's own calendar engine
+			if queue == "heap" {
+				eng = sim.NewHeapEngine()
+			}
+			a, err := accel.NewShared(g, s, cfg, eng, nil)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, queue, err)
 			}

@@ -23,9 +23,9 @@ type Config struct {
 	Partition Mode
 	// PartitionSeed drives the hash partitioner (ignored by the others).
 	PartitionSeed int64
-	// Chip configures every chip identically (the shared engine's queue
-	// discipline comes from Chip.EventQueue; the per-run governor
-	// budgets from Chip.Deadline/MaxEvents/MaxWall).
+	// Chip configures every chip identically (the per-run governor
+	// budgets on the shared engine come from Chip.Deadline/MaxEvents/
+	// MaxWall).
 	Chip accel.Config
 	// Interconnect models the chip-to-chip fabric as a second NoC level:
 	// per-link latency/bandwidth plus message counters. Zero links
@@ -138,17 +138,13 @@ func New(g *graph.Graph, s *pattern.Schedule, cfg Config) (*Cluster, error) {
 		// run partitioned but cannot migrate subtrees.
 		cfg.Steal = false
 	}
-	qkind, err := sim.ParseQueueKind(cfg.Chip.EventQueue)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
 	part, err := NewPartition(g, mode, cfg.Chips, cfg.PartitionSeed)
 	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{
 		cfg:       cfg,
-		eng:       sim.NewEngineQueue(qkind),
+		eng:       sim.NewEngine(),
 		inter:     mem.NewNoC(cfg.Interconnect),
 		part:      part,
 		adoptBusy: make([]bool, cfg.Chips),

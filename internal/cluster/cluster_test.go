@@ -13,6 +13,7 @@ import (
 	"shogun/internal/graph"
 	"shogun/internal/metrics"
 	"shogun/internal/mine"
+	"shogun/internal/sim"
 )
 
 // variant mirrors the accel conformance matrix: every scheduling scheme
@@ -53,9 +54,10 @@ func workload(t testing.TB, name string) datasets.Workload {
 // cluster in replicated mode must be BIT-IDENTICAL to the single-chip
 // engine — the full Result JSON (cycles, per-PE breakdowns, telemetry
 // time series), and every hardware counter — across the conformance
-// matrix's scheme variants and both event-queue disciplines. The
-// cluster layer may add no events, reorder nothing, and perturb no
-// counter when it degenerates to one chip.
+// matrix's scheme variants. The cluster always runs the calendar queue;
+// the single-chip side runs once on the calendar engine and once on the
+// heap reference engine. The cluster layer may add no events, reorder
+// nothing, and perturb no counter when it degenerates to one chip.
 func TestClusterDifferentialN1(t *testing.T) {
 	g := gen.RMAT(256, 1500, 0.6, 0.15, 0.15, 42)
 	for _, wl := range datasets.Workloads() {
@@ -65,13 +67,16 @@ func TestClusterDifferentialN1(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					cfg := accel.DefaultConfig(v.scheme)
 					cfg.NumPEs = 4
-					cfg.EventQueue = queue
 					cfg.SampleEvery = 512 // telemetry series must match too
 					if v.mutate != nil {
 						v.mutate(&cfg)
 					}
 
-					a, err := accel.New(g, wl.Schedule, cfg)
+					var eng *sim.Engine // nil: New's own calendar engine
+					if queue == "heap" {
+						eng = sim.NewHeapEngine()
+					}
+					a, err := accel.NewShared(g, wl.Schedule, cfg, eng, nil)
 					if err != nil {
 						t.Fatalf("accel new: %v", err)
 					}
@@ -118,8 +123,8 @@ func TestClusterMetamorphicCounts(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{
-		{"rmat", gen.RMAT(192, 1100, 0.6, 0.15, 0.15, 7)},  // wi analogue
-		{"plc", gen.PowerLawCluster(220, 5, 0.55, 9)},      // or analogue
+		{"rmat", gen.RMAT(192, 1100, 0.6, 0.15, 0.15, 7)}, // wi analogue
+		{"plc", gen.PowerLawCluster(220, 5, 0.55, 9)},     // or analogue
 	}
 	for _, gr := range graphs {
 		for _, wlName := range []string{"tc", "4cl", "dia_v"} {

@@ -1,35 +1,17 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
+
+	"shogun/internal/trace"
 )
-
-// chromeEvent mirrors the Chrome trace-event JSON schema (the same
-// format internal/trace emits for simulated runs, so both open in
-// chrome://tracing / Perfetto side by side).
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type chromeFile struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
 
 // WriteChrome renders the request's phase breakdown as a Chrome trace:
 // one complete ("X") event per non-empty phase, laid end to end on a
 // single thread, timestamps in microseconds from request arrival. The
 // on-demand per-request export behind /v1/requests/{id}?format=chrome.
 func (v *SpanView) WriteChrome(w io.Writer) error {
-	events := []chromeEvent{
+	events := []trace.ChromeEvent{
 		{Name: "process_name", Ph: "M", Pid: 0,
 			Args: map[string]any{"name": "shogund request"}},
 		{Name: "thread_name", Ph: "M", Pid: 0, Tid: 0,
@@ -40,7 +22,7 @@ func (v *SpanView) WriteChrome(w io.Writer) error {
 	for i, ns := range [NumPhases]int64{ph.Parse, ph.Queue, ph.Graph, ph.Schedule, ph.Run, ph.Encode} {
 		us := ns / 1e3
 		if ns > 0 {
-			events = append(events, chromeEvent{
+			events = append(events, trace.ChromeEvent{
 				Name: phaseNames[i], Cat: "request", Ph: "X",
 				Ts: ts, Dur: us, Pid: 0, Tid: 0,
 				Args: map[string]any{
@@ -51,6 +33,6 @@ func (v *SpanView) WriteChrome(w io.Writer) error {
 		}
 		ts += us
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeFile{TraceEvents: events, DisplayTimeUnit: "ms"})
+	_, err := trace.WriteChromeFile(w, events)
+	return err
 }

@@ -56,8 +56,9 @@ type calendarQueue struct {
 	// winCount counts ring events; n counts all queued events.
 	winCount int
 	n        int
-	// over is the far-future overflow: a binary heap by (at, seq).
-	over []*event
+	// over is the far-future overflow: the package's one binary heap
+	// by (at, seq), the same type the reference engine runs on.
+	over heapQueue
 
 	// cached is the memoized peek result (nil = unknown); cachedOver
 	// records whether it lives in the overflow heap or the ring.
@@ -94,7 +95,7 @@ func (q *calendarQueue) push(ev *event) {
 		}
 		return
 	}
-	q.overPush(ev)
+	q.over.push(ev)
 	if q.cached != nil && ev.at < q.cached.at {
 		q.cached, q.cachedOver = ev, true
 	}
@@ -109,15 +110,13 @@ func (q *calendarQueue) peek() *event {
 	}
 	if q.winCount == 0 {
 		// Ring empty: the overflow head is the queue minimum.
-		q.cached, q.cachedOver = q.over[0], true
+		q.cached, q.cachedOver = q.over.peek(), true
 		return q.cached
 	}
 	ev := q.scanMin()
-	if len(q.over) > 0 {
-		if o := q.over[0]; o.before(ev) {
-			q.cached, q.cachedOver = o, true
-			return o
-		}
+	if o := q.over.peek(); o != nil && o.before(ev) {
+		q.cached, q.cachedOver = o, true
+		return o
 	}
 	q.cached, q.cachedOver = ev, false
 	return ev
@@ -129,7 +128,7 @@ func (q *calendarQueue) pop() *event {
 		return nil
 	}
 	if q.cachedOver {
-		q.overPop()
+		q.over.pop()
 	} else {
 		i := int(uint64(ev.at) & (calWindow - 1))
 		b := &q.buckets[i]
@@ -172,50 +171,4 @@ func (q *calendarQueue) scanMin() *event {
 		return q.buckets[w0<<6+bits.TrailingZeros64(w)].head
 	}
 	panic("sim: calendar ring empty despite winCount > 0")
-}
-
-// Overflow heap: a plain binary heap of *event by (at, seq).
-
-func (q *calendarQueue) overPush(ev *event) {
-	q.over = append(q.over, ev)
-	i := len(q.over) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !ev.before(q.over[parent]) {
-			break
-		}
-		q.over[i] = q.over[parent]
-		i = parent
-	}
-	q.over[i] = ev
-}
-
-func (q *calendarQueue) overPop() *event {
-	h := q.over
-	min := h[0]
-	last := h[len(h)-1]
-	h[len(h)-1] = nil // release the reference for the recycler
-	h = h[:len(h)-1]
-	q.over = h
-	if len(h) > 0 {
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			if l >= len(h) {
-				break
-			}
-			c := l
-			if r < len(h) && h[r].before(h[l]) {
-				c = r
-			}
-			if !h[c].before(last) {
-				break
-			}
-			h[i] = h[c]
-			i = c
-		}
-		h[i] = last
-	}
-	min.next = nil
-	return min
 }

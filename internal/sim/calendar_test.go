@@ -78,8 +78,8 @@ func TestCalendarOverflowEntersWindow(t *testing.T) {
 	// base is now 10, window [10, calWindow+10): this push is
 	// ring-resident even though the overflow min (calWindow+2) is older.
 	q.push(mkEvent(calWindow+7, 4))
-	if q.winCount != 1 || len(q.over) != 1 {
-		t.Fatalf("placement: winCount=%d overflow=%d", q.winCount, len(q.over))
+	if q.winCount != 1 || q.over.len() != 1 {
+		t.Fatalf("placement: winCount=%d overflow=%d", q.winCount, q.over.len())
 	}
 	// Peek/pop must compare the ring head against the overflow head.
 	if ev := q.pop(); ev.at != calWindow+2 {
@@ -113,10 +113,27 @@ func TestCalendarWindowWrap(t *testing.T) {
 
 // TestCalendarAgainstHeap drives both disciplines with an identical
 // randomized schedule/pop workload and requires identical pop sequences.
+// The calendar's overflow is the same heapQueue type as the reference,
+// so each side is also checked against the order's definition: pops
+// strictly increase in (at, seq) and every push pops exactly once.
 func TestCalendarAgainstHeap(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cal, hp := newCalendarQueue(), &heapQueue{}
+		calOracle, hpOracle := newOrderOracle(), newOrderOracle()
+		pop := func() (a, b *event) {
+			a, b = cal.pop(), hp.pop()
+			if a.at != b.at || a.seq != b.seq {
+				t.Fatalf("seed %d: pop diverged (%d,%d) vs (%d,%d)", seed, a.at, a.seq, b.at, b.seq)
+			}
+			if err := calOracle.delivered(a.at, a.seq); err != nil {
+				t.Fatalf("seed %d: calendar: %v", seed, err)
+			}
+			if err := hpOracle.delivered(b.at, b.seq); err != nil {
+				t.Fatalf("seed %d: heap: %v", seed, err)
+			}
+			return a, b
+		}
 		var now Time
 		var seq int64
 		for i := 0; i < 5000; i++ {
@@ -133,11 +150,10 @@ func TestCalendarAgainstHeap(t *testing.T) {
 				seq++
 				cal.push(mkEvent(now+d, seq))
 				hp.push(mkEvent(now+d, seq))
+				calOracle.scheduled(now+d, seq)
+				hpOracle.scheduled(now+d, seq)
 			} else {
-				a, b := cal.pop(), hp.pop()
-				if a.at != b.at || a.seq != b.seq {
-					t.Fatalf("seed %d: pop diverged (%d,%d) vs (%d,%d)", seed, a.at, a.seq, b.at, b.seq)
-				}
+				a, _ := pop()
 				now = a.at
 			}
 			if cal.len() != hp.len() {
@@ -145,13 +161,16 @@ func TestCalendarAgainstHeap(t *testing.T) {
 			}
 		}
 		for cal.len() > 0 {
-			a, b := cal.pop(), hp.pop()
-			if a.at != b.at || a.seq != b.seq {
-				t.Fatalf("seed %d: drain diverged", seed)
-			}
+			pop()
 		}
 		if hp.len() != 0 {
 			t.Fatalf("seed %d: heap not drained", seed)
+		}
+		if err := calOracle.done(); err != nil {
+			t.Fatalf("seed %d: calendar: %v", seed, err)
+		}
+		if err := hpOracle.done(); err != nil {
+			t.Fatalf("seed %d: heap: %v", seed, err)
 		}
 	}
 }
@@ -165,8 +184,8 @@ type orderRecorder struct {
 func (r *orderRecorder) Act(op int, _ any) { r.got = append(r.got, op) }
 
 func TestEngineActorOrder(t *testing.T) {
-	for _, kind := range []QueueKind{QueueCalendar, QueueHeap} {
-		e := NewEngineQueue(kind)
+	for kind, newEngine := range map[string]func() *Engine{"calendar": NewEngine, "heap": NewHeapEngine} {
+		e := newEngine()
 		r := &orderRecorder{}
 		e.Post(5, r, 1, nil)
 		e.At(5, func() { r.got = append(r.got, 2) })

@@ -20,18 +20,13 @@
 // Actor form — a receiver interface plus an integer op code and a
 // pointer-sized argument — which allocates nothing at the call site.
 //
-// Two queue disciplines implement the same deterministic total order,
-// (time, sequence): a hierarchical calendar queue (default; O(1) for the
-// short-delay events that dominate simulation) and a binary heap kept as
-// an escape hatch and differential-testing foil. See calendar.go for the
-// structure and the determinism argument.
+// Every engine orders events by one deterministic total order, (time,
+// sequence), kept by a hierarchical calendar queue: O(1) for the
+// short-delay events that dominate simulation, with a binary heap for
+// far-future overflow. That same heap, run whole, is the reference
+// engine (NewHeapEngine) the differential tests compare against. See
+// calendar.go for the structure and the determinism argument.
 package sim
-
-import (
-	"fmt"
-	"os"
-	"sync"
-)
 
 // Time is a cycle count.
 type Time = int64
@@ -74,55 +69,12 @@ type eventQueue interface {
 	len() int
 }
 
-// QueueKind selects the event-queue discipline.
-type QueueKind int
-
-const (
-	// QueueCalendar is the hierarchical calendar queue (default).
-	QueueCalendar QueueKind = iota
-	// QueueHeap is the binary-heap fallback.
-	QueueHeap
-)
-
-// String names the kind the way ParseQueueKind accepts it.
-func (k QueueKind) String() string {
-	if k == QueueHeap {
-		return "heap"
-	}
-	return "calendar"
-}
-
-// ParseQueueKind maps the -queue flag / Config.EventQueue spelling to a
-// QueueKind. The empty string selects the process default: calendar,
-// unless the SHOGUN_EVENT_QUEUE environment variable overrides it (the
-// hook CI uses to force every test through one discipline).
-func ParseQueueKind(s string) (QueueKind, error) {
-	switch s {
-	case "":
-		return defaultQueueKind(), nil
-	case "calendar":
-		return QueueCalendar, nil
-	case "heap":
-		return QueueHeap, nil
-	}
-	return QueueCalendar, fmt.Errorf("sim: unknown event queue %q (want heap or calendar)", s)
-}
-
-var defaultQueueKind = sync.OnceValue(func() QueueKind {
-	if os.Getenv("SHOGUN_EVENT_QUEUE") == "heap" {
-		return QueueHeap
-	}
-	return QueueCalendar
-})
-
 // Engine is a deterministic discrete-event simulator. Events scheduled
-// for the same time run in scheduling order, regardless of the queue
-// discipline in use.
+// for the same time run in scheduling order.
 type Engine struct {
-	q    eventQueue
-	kind QueueKind
-	now  Time
-	seq  int64
+	q   eventQueue
+	now Time
+	seq int64
 	// Processed counts executed events (a cheap progress/cost metric).
 	Processed int64
 
@@ -132,24 +84,13 @@ type Engine struct {
 	block []event
 }
 
-// NewEngine returns an engine at time 0 using the default queue
-// discipline (calendar, unless SHOGUN_EVENT_QUEUE=heap).
-func NewEngine() *Engine { return NewEngineQueue(defaultQueueKind()) }
+// NewEngine returns an engine at time 0 on the calendar queue.
+func NewEngine() *Engine { return &Engine{q: newCalendarQueue()} }
 
-// NewEngineQueue returns an engine at time 0 using the given queue
-// discipline.
-func NewEngineQueue(kind QueueKind) *Engine {
-	e := &Engine{kind: kind}
-	if kind == QueueHeap {
-		e.q = &heapQueue{}
-	} else {
-		e.q = newCalendarQueue()
-	}
-	return e
-}
-
-// Queue reports the engine's queue discipline.
-func (e *Engine) Queue() QueueKind { return e.kind }
+// NewHeapEngine returns an engine at time 0 on the plain binary heap.
+// It is the reference engine for differential tests: it must order
+// every event exactly as NewEngine's calendar queue does.
+func NewHeapEngine() *Engine { return &Engine{q: &heapQueue{}} }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }

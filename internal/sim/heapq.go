@@ -1,11 +1,11 @@
 package sim
 
-// heapQueue is the binary-heap event-queue fallback (-queue=heap): the
-// classic O(log n) discipline the calendar queue replaced as default.
-// It is kept for differential testing — both disciplines must produce
-// bit-identical event orders — and as an escape hatch for workloads
-// whose event horizon defeats the calendar ring. It shares the pooled
-// event nodes, so it too schedules without per-event allocation.
+// heapQueue is the package's one binary heap of events by (at, seq).
+// It serves twice: as the calendar queue's far-future overflow, and
+// whole as the reference discipline behind NewHeapEngine, which the
+// differential tests run against the calendar engine — both must
+// produce bit-identical event orders. It shares the pooled event nodes,
+// so it schedules without per-event allocation.
 type heapQueue struct {
 	h []*event
 }

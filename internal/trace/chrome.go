@@ -56,8 +56,11 @@ func (c *Chrome) AddCounterSeries(name string, cycles, vals []int64) {
 	c.mu.Unlock()
 }
 
-// chromeEvent is one entry of the traceEvents array.
-type chromeEvent struct {
+// ChromeEvent is one entry of a Chrome trace file's traceEvents array.
+// It is the one trace-event encoding in the module: simulated runs
+// (Chrome) and served requests (obs) both write through it, so their
+// files open side by side in chrome://tracing and Perfetto.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -69,8 +72,19 @@ type chromeEvent struct {
 }
 
 type chromeFile struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+	TraceEvents     []ChromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
+// WriteChromeFile writes events, in the given order, as one complete
+// Chrome trace file followed by a newline.
+func WriteChromeFile(w io.Writer, events []ChromeEvent) (int64, error) {
+	b, err := json.Marshal(chromeFile{TraceEvents: events, DisplayTimeUnit: "ms"})
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(append(b, '\n'))
+	return int64(n), err
 }
 
 // WriteTo emits the collected events as a complete trace file.
@@ -82,9 +96,9 @@ func (c *Chrome) WriteTo(w io.Writer) (int64, error) {
 	for _, ev := range c.events {
 		pes[ev.PE] = true
 	}
-	var out []chromeEvent
+	var out []ChromeEvent
 	for pe := range pes {
-		out = append(out, chromeEvent{
+		out = append(out, ChromeEvent{
 			Name: "thread_name", Ph: "M", Pid: 0, Tid: pe,
 			Args: map[string]any{"name": fmt.Sprintf("PE %d", pe)},
 		})
@@ -92,7 +106,7 @@ func (c *Chrome) WriteTo(w io.Writer) (int64, error) {
 
 	// Task spans.
 	for _, ev := range c.events {
-		out = append(out, chromeEvent{
+		out = append(out, ChromeEvent{
 			Name: fmt.Sprintf("d%d v%d", ev.Depth, ev.Vertex),
 			Cat:  "task", Ph: "X",
 			Ts: ev.Start, Dur: ev.Done - ev.Start,
@@ -127,7 +141,7 @@ func (c *Chrome) WriteTo(w io.Writer) (int64, error) {
 			if i+1 < len(edges) && edges[i+1].t == e.t {
 				continue // emit one sample per timestamp
 			}
-			out = append(out, chromeEvent{
+			out = append(out, ChromeEvent{
 				Name: fmt.Sprintf("PE %d tasks", pe), Ph: "C",
 				Ts: e.t, Pid: 0, Tid: pe,
 				Args: map[string]any{"running": level},
@@ -138,14 +152,14 @@ func (c *Chrome) WriteTo(w io.Writer) (int64, error) {
 	// Telemetry counter tracks live under their own process row so they
 	// stack separately from the per-PE task threads.
 	if len(c.counters) > 0 {
-		out = append(out, chromeEvent{
+		out = append(out, ChromeEvent{
 			Name: "process_name", Ph: "M", Pid: 1,
 			Args: map[string]any{"name": "telemetry"},
 		})
 	}
 	for _, cs := range c.counters {
 		for i := range cs.cycles {
-			out = append(out, chromeEvent{
+			out = append(out, ChromeEvent{
 				Name: cs.name, Ph: "C", Ts: cs.cycles[i], Pid: 1,
 				Args: map[string]any{"value": cs.vals[i]},
 			})
@@ -164,13 +178,7 @@ func (c *Chrome) WriteTo(w io.Writer) (int64, error) {
 		return out[i].Tid < out[j].Tid
 	})
 
-	b, err := json.Marshal(chromeFile{TraceEvents: out, DisplayTimeUnit: "ms"})
-	if err != nil {
-		return 0, err
-	}
-	b = append(b, '\n')
-	n, err := w.Write(b)
-	return int64(n), err
+	return WriteChromeFile(w, out)
 }
 
 // Count reports collected events.
